@@ -47,14 +47,18 @@ final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
   * integration ID, and connected via shared non-null equal attributes;
   * value-subsumed outputs removed. Nulls never join.
   *
-  * Algorithm: pairwise complementation closure. Each round joins the
-  * frontier (tuples discovered last round) against all tuples, once per
-  * attribute index so Catalyst gets an equi-join key, keeps consistent
+  * Algorithm: pairwise complementation closure over one join kernel.
+  * `sharing` explodes both sides once per non-null attribute into an
+  * `(index, value)` key and equi-joins on it, so a pair of tuples meets
+  * once per attribute they share. Each round joins the frontier (tuples
+  * discovered last round) against all tuples this way, keeps consistent
   * table-disjoint pairs, and coalesces them into combined tuples; fixpoint
-  * when a round yields nothing new. Lineage is cut every round with
-  * `localCheckpoint` (iterative algorithm). Finally, value-duplicate rows
-  * are merged (keeping maximal TID-sets) and dominated rows removed via
-  * per-attribute subsumption joins.
+  * when a round yields nothing new. A combined tuple spans strictly more
+  * source tables than the frontier tuple it extends, so the closure ends
+  * after at most as many rounds as there are tables. Lineage is cut every
+  * round with `localCheckpoint` (iterative algorithm). Finally,
+  * value-duplicate rows are merged (keeping maximal TID-sets) and
+  * dominated rows are removed by a self-join through the same kernel.
   */
 object FullDisjunction extends Integrator {
 
@@ -72,68 +76,85 @@ object FullDisjunction extends Integrator {
   /** FD over an already-aligned outer union (`AlignedTuples.build` shape).
     * Exposed separately so baselines (ParaFD) can share representation.
     */
-  def integrateAligned(t0: DataFrame, m: Int, maxRounds: Int = 32): DataFrame = {
+  def integrateAligned(t0: DataFrame, m: Int): DataFrame = {
     require(m >= 1, "no aligned attributes")
-    val closed = closure(t0, m, maxRounds)
-    subsume(dedupValues(closed), m)
-      .select(ValsCol, CoveredCol, TabsCol, TidsCol)
+    finish(closure(t0))
   }
 
-  // ---------------------------------------------------------------- closure
-
-  private[core] def withKeys(df: DataFrame): DataFrame =
-    df.withColumn("vkey", valsKey(col(ValsCol)))
-      .withColumn("key", tupleKey(col(ValsCol), col(TidsCol)))
-
-  private def prefixed(df: DataFrame, p: String): DataFrame =
-    df.select(df.columns.map(c => col(c).as(p + c)): _*)
-
-  private def closure(t0: DataFrame, m: Int, maxRounds: Int): DataFrame = {
-    // `all` is the lazy union of per-round checkpointed frontiers — only the
-    // fresh tuples of a round are ever materialized.
-    val base = withKeys(t0).dropDuplicates("key").localCheckpoint()
-    var generations = Vector(base)
-    def all = generations.reduce(_ unionByName _)
-    var frontier = base
-    var round = 0
-    while (round < maxRounds && !frontier.isEmpty) {
-      round += 1
-      val combined = withKeys(combineRound(frontier, all, m)).dropDuplicates("key")
-      val fresh = combined
-        .join(all.select(col("key")), Seq("key"), "left_anti")
-        .select(base.columns.map(col): _*)
-        .localCheckpoint()
-      frontier = fresh
-      if (!fresh.isEmpty) generations :+= fresh
-    }
-    require(frontier.isEmpty,
-      s"FD closure did not converge within $maxRounds rounds")
-    all
-  }
-
-  /** All consistent, connected, table-disjoint pairs (frontier × all),
-    * coalesced into combined tuples.
+  /** The coalesced consistent, connected, table-disjoint pairs of `a` × `b`
+    * in the aligned-tuple layout, one row per attribute the pair shares.
     */
-  private[core] def combineRound(frontier: DataFrame, all: DataFrame, m: Int): DataFrame = {
-    val a = prefixed(frontier, "a_")
-    val b = prefixed(all, "b_")
-    def av(j: Int): Column = col("a_" + ValsCol).getItem(j)
-    def bv(j: Int): Column = col("b_" + ValsCol).getItem(j)
-    val consistent = (0 until m)
-      .map(j => av(j).isNull || bv(j).isNull || (av(j) === bv(j)))
-      .reduce(_ && _)
-    val tableDisjoint =
-      size(array_intersect(col("a_" + TabsCol), col("b_" + TabsCol))) === 0
-    val perAttr = (0 until m).map { i =>
-      a.join(b, (av(i) === bv(i)) && tableDisjoint && consistent)
-    }
-    perAttr.reduce(_ unionAll _).select(
+  private[core] def complement(a: DataFrame, b: DataFrame): DataFrame =
+    combineRound(a, b).select(
       zip_with(col("a_" + ValsCol), col("b_" + ValsCol), (x, y) => coalesce(x, y)).as(ValsCol),
       col("a_" + CoveredCol).bitwiseOR(col("b_" + CoveredCol)).as(CoveredCol),
       array_sort(array_union(col("a_" + TabsCol), col("b_" + TabsCol))).as(TabsCol),
       array_sort(array_union(col("a_" + TidsCol), col("b_" + TidsCol))).as(TidsCol),
     )
+
+  /** Merge value duplicates, drop dominated rows, project to the output
+    * layout.
+    */
+  private[core] def finish(rows: DataFrame): DataFrame =
+    subsume(dedupValues(rows)).select(ValsCol, CoveredCol, TabsCol, TidsCol)
+
+  // ------------------------------------------------------------- the kernel
+
+  private def prefixed(df: DataFrame, p: String): DataFrame =
+    df.select(df.columns.map(c => col(c).as(p + c)): _*)
+
+  /** One row per non-null attribute of each row of `df`, columns prefixed
+    * with `p`, plus the `(p idx, p val)` key of that attribute.
+    */
+  private def byAttr(df: DataFrame, p: String): DataFrame =
+    prefixed(df, p)
+      .select(col("*"), posexplode(col(p + ValsCol)).as(Seq(p + "idx", p + "val")))
+      .where(col(p + "val").isNotNull)
+
+  /** Pairs of an `a_` row and a `b_` row with an equal non-null value on
+    * the same attribute, once per such attribute.
+    */
+  private def sharing(a: DataFrame, b: DataFrame): DataFrame =
+    byAttr(a, "a_").join(byAttr(b, "b_"),
+      col("a_idx") === col("b_idx") && col("a_val") === col("b_val"))
+
+  /** `pred` holds for every attribute of `a_vals` and `b_vals`. */
+  private def everyAttr(pred: (Column, Column) => Column): Column =
+    forall(zip_with(col("a_" + ValsCol), col("b_" + ValsCol), pred), identity)
+
+  // ---------------------------------------------------------------- closure
+
+  private def withKey(df: DataFrame): DataFrame =
+    df.withColumn("key", tupleKey(col(ValsCol), col(TidsCol)))
+
+  private def closure(t0: DataFrame): DataFrame = {
+    // `all` is the lazy union of per-round checkpointed frontiers — only the
+    // fresh tuples of a round are ever materialized.
+    val base = withKey(t0).dropDuplicates("key").localCheckpoint()
+    var generations = Vector(base)
+    def all = generations.reduce(_ unionByName _)
+    var frontier = base
+    // Terminates: a fresh tuple joins a frontier tuple with a table-disjoint
+    // one, so round r's frontier spans ≥ r+1 tables; it is empty once r
+    // reaches the number of source tables.
+    var grew = !base.isEmpty
+    while (grew) {
+      frontier = withKey(complement(frontier, all)).dropDuplicates("key")
+        .join(all.select(col("key")), Seq("key"), "left_anti")
+        .localCheckpoint()
+      grew = !frontier.isEmpty
+      if (grew) generations :+= frontier
+    }
+    all
   }
+
+  /** The consistent, table-disjoint pairs of `frontier` × `all` that share
+    * a value, as prefixed `a_`/`b_` columns.
+    */
+  private def combineRound(frontier: DataFrame, all: DataFrame): DataFrame =
+    sharing(frontier, all).where(
+      size(array_intersect(col("a_" + TabsCol), col("b_" + TabsCol))) === 0 &&
+        everyAttr((x, y) => x.isNull || y.isNull || x === y))
 
   // ------------------------------------------------- dedup and subsumption
 
@@ -147,9 +168,9 @@ object FullDisjunction extends Integrator {
     maximal.flatten.distinct.sorted
   }
 
-  private[core] def dedupValues(closed: DataFrame): DataFrame =
-    closed
-      .groupBy("vkey")
+  private def dedupValues(rows: DataFrame): DataFrame =
+    rows
+      .groupBy(valsKey(col(ValsCol)).as("vkey"))
       .agg(
         first(ValsCol).as(ValsCol),
         expr(s"bit_or($CoveredCol)").as(CoveredCol),
@@ -158,25 +179,16 @@ object FullDisjunction extends Integrator {
       )
 
   /** Remove value-dominated tuples. `u` dominates `t` when `u` agrees with
-    * every non-null value of `t` and has strictly more non-null values.
-    * Joined on `t`'s first non-null attribute (a dominator must share it).
+    * every non-null value of `t` and has strictly more non-null values, so
+    * it shares every value of `t`: the `a_` side of `sharing` is `t`.
     */
-  private[core] def subsume(dedup: DataFrame, m: Int): DataFrame = {
-    val nn = size(filter(col(ValsCol), v => v.isNotNull))
-    val firstIdx = coalesce(
-      (0 until m).map(j => when(col(ValsCol).getItem(j).isNotNull, lit(j))): _*)
-    val t = prefixed(dedup.withColumn("nn", nn).withColumn("fi", firstIdx), "t_")
-    val u = prefixed(dedup.withColumn("nn", nn), "u_")
-    def tv(j: Int): Column = col("t_" + ValsCol).getItem(j)
-    def uv(j: Int): Column = col("u_" + ValsCol).getItem(j)
-    val dominates = (0 until m)
-      .map(j => tv(j).isNull || (uv(j) === tv(j)))
-      .reduce(_ && _) && (col("u_nn") > col("t_nn"))
-    val dominatedKeys = (0 until m).map { i =>
-      t.where(col("t_fi") === i)
-        .join(u, (uv(i) === tv(i)) && dominates)
-        .select(col("t_vkey").as("vkey"))
-    }.reduce(_ unionAll _).distinct()
+  private def subsume(dedup: DataFrame): DataFrame = {
+    def nonNull(vals: Column): Column = size(filter(vals, _.isNotNull))
+    val dominatedKeys = sharing(dedup, dedup)
+      .where(nonNull(col("b_" + ValsCol)) > nonNull(col("a_" + ValsCol)) &&
+        everyAttr((t, u) => t.isNull || t === u))
+      .select(col("a_vkey").as("vkey"))
+      .distinct()
     dedup.join(dominatedKeys, Seq("vkey"), "left_anti")
   }
 }

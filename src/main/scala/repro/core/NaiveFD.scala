@@ -110,52 +110,43 @@ object NaiveFD {
     * same work as the Spark version, one thread. Output equals
     * `bruteForce`.
     */
+  def iterative(tuples: Seq[LocalTuple]): Seq[LocalTuple] = {
+    val index = mutable.Map.empty[(Int, String), mutable.ArrayBuffer[LocalTuple]]
+    closure(tuples,
+      added = t => for (j <- t.vals.indices; v <- t.vals(j))
+        index.getOrElseUpdate((j, v), mutable.ArrayBuffer.empty) += t,
+      partners = (f, _) => mutable.LinkedHashSet.from(
+        for (j <- f.vals.indices; v <- f.vals(j).toSeq; o <- index.getOrElse((j, v), Nil)) yield o))
+  }
+
   /** The nested-loop variant of `iterative`: every frontier tuple scans
     * all tuples for partners, the way the NLOJ-based polynomial-delay
     * iterators of [2] rescan relations. Same output; used as the [2]
     * baseline in `IntegrationScaleBench`. Quadratic — keep inputs small.
     */
-  def iterativeScan(tuples: Seq[LocalTuple]): Seq[LocalTuple] = {
-    val all = mutable.LinkedHashMap.empty[(Vector[Option[String]], Set[String]), LocalTuple]
-    def key(t: LocalTuple) = (t.vals, t.tids)
-    tuples.foreach(t => all(key(t)) = t)
-    var frontier = all.values.toVector
-    while (frontier.nonEmpty) {
-      val next = mutable.ArrayBuffer.empty[LocalTuple]
-      val snapshot = all.values.toVector
-      for (f <- frontier; o <- snapshot) {
-        if (f.tabs.intersect(o.tabs).isEmpty && connected(f, o) && consistent(f, o)) {
-          val c = combine(f, o)
-          if (!all.contains(key(c))) { all(key(c)) = c; next += c }
-        }
-      }
-      frontier = next.toVector
-    }
-    finish(all.values.toVector)
-  }
+  def iterativeScan(tuples: Seq[LocalTuple]): Seq[LocalTuple] =
+    closure(tuples, added = _ => (), partners = (f, all) => all.filter(connected(f, _)))
 
-  def iterative(tuples: Seq[LocalTuple]): Seq[LocalTuple] = {
+  /** Fixpoint of combining each new tuple with its partners. `added` sees
+    * every tuple as it is found; `partners(f, all)` returns the tuples found
+    * so far that share a value with `f`.
+    */
+  private def closure(tuples: Seq[LocalTuple], added: LocalTuple => Unit,
+                      partners: (LocalTuple, Iterable[LocalTuple]) => Iterable[LocalTuple])
+      : Seq[LocalTuple] = {
     val all = mutable.LinkedHashMap.empty[(Vector[Option[String]], Set[String]), LocalTuple]
-    val index = mutable.Map.empty[(Int, String), mutable.ArrayBuffer[LocalTuple]]
-    def key(t: LocalTuple) = (t.vals, t.tids)
-    def insert(t: LocalTuple): Unit = {
-      all(key(t)) = t
-      for (j <- t.vals.indices; v <- t.vals(j))
-        index.getOrElseUpdate((j, v), mutable.ArrayBuffer.empty) += t
+    def insert(t: LocalTuple): Boolean = {
+      val fresh = !all.contains((t.vals, t.tids))
+      if (fresh) { all((t.vals, t.tids)) = t; added(t) }
+      fresh
     }
-    tuples.foreach(t => if (!all.contains(key(t))) insert(t))
-    var frontier = all.values.toVector
+    var frontier = tuples.filter(insert)
     while (frontier.nonEmpty) {
       val next = mutable.ArrayBuffer.empty[LocalTuple]
-      for (f <- frontier) {
-        val partners = mutable.LinkedHashSet.empty[LocalTuple]
-        for (j <- f.vals.indices; v <- f.vals(j); b <- index.get((j, v)); o <- b)
-          partners += o
-        for (o <- partners) {
-          if (f.tabs.intersect(o.tabs).isEmpty && consistent(f, o)) {
-            val c = combine(f, o)
-            if (!all.contains(key(c))) { insert(c); next += c }
-          }
+      for (f <- frontier; o <- partners(f, all.values)) {
+        if (f.tabs.intersect(o.tabs).isEmpty && consistent(f, o)) {
+          val c = combine(f, o)
+          if (insert(c)) next += c
         }
       }
       frontier = next.toVector

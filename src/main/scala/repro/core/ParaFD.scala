@@ -2,8 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
-import AlignedTuples._
-
 /** Baseline: Full Disjunction as a left fold of *binary* full disjunctions
   * (the strategy parallelized by Paganelli et al. [10]).
   *
@@ -22,22 +20,15 @@ object ParaFD extends Integrator {
                          matcher: SchemaMatcher): IntegratedTable = {
     require(tables.nonEmpty, "integration set is empty")
     val alignment = matcher.align(tables)
-    val m = alignment.numIids
     val aligned = tables.map { case (t, df) =>
       AlignedTuples.forTable(t, df, alignment)
     }
-    val folded = aligned.reduceLeft((acc, next) => binaryFd(acc, next, m))
-    IntegratedTable(alignment, folded.select(ValsCol, CoveredCol, TabsCol, TidsCol))
+    IntegratedTable(alignment, aligned.reduceLeft(binaryFd))
   }
 
   /** FD of exactly two aligned tuple sets. */
-  private def binaryFd(a: DataFrame, b: DataFrame, m: Int): DataFrame = {
-    val ka = FullDisjunction.withKeys(a)
-    val kb = FullDisjunction.withKeys(b)
-    val pairs = FullDisjunction.withKeys(FullDisjunction.combineRound(ka, kb, m))
-    val all = ka.unionByName(pairs).unionByName(kb).dropDuplicates("key")
-    FullDisjunction.subsume(FullDisjunction.dedupValues(all), m)
-      .select(ValsCol, CoveredCol, TabsCol, TidsCol)
+  private def binaryFd(a: DataFrame, b: DataFrame): DataFrame =
+    FullDisjunction
+      .finish(a.unionByName(FullDisjunction.complement(a, b)).unionByName(b))
       .localCheckpoint()
-  }
 }

@@ -2,7 +2,7 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-import repro.core.FullDisjunction
+import repro.core.ColumnKey
 import repro.discovery.{InnerJoinRatio, LshEnsemble, Santos, SimilarityDiscoverer}
 import repro.lake.LakeGen
 
@@ -38,10 +38,16 @@ class DialitePipelineSpec extends SparkSpec {
     val q = gen.lake.table("cases_p0")
     val it = dialite.pipeline(q, Some(q.columns(0)), k = 3)
     assert(it.asTable.count() >= q.count())
-    // The query's own facts survive integration.
-    val cities = q.collect().flatMap(r => Option(r.getString(0))).toSet
-    val cityIid = it.columnNames.indexWhere(_ => true) // at least one column
-    assert(cityIid >= 0)
+    // The query's own facts survive integration: FD only merges and
+    // subsumes tuples, so every value of its first column stays in the
+    // column that column was aligned to.
+    val cities = q.collect().flatMap(r => Option(r.get(0)))
+      .map(_.toString.trim).filter(_.nonEmpty).toSet
+    assert(cities.nonEmpty)
+    val cityIid = it.alignment.iidOf(ColumnKey("query", 0))
+    val integrated = it.asTable.collect() // column 0 is TIDs
+      .flatMap(r => Option(r.getString(cityIid + 1))).toSet
+    assert(cities.subsetOf(integrated), s"missing: ${cities -- integrated}")
   }
 
   test("unknown integrator names are rejected") {

@@ -39,13 +39,15 @@ object FdFixtures {
   def canon(ts: Iterable[LocalTuple]): Set[(Vector[Option[String]], Set[String], Long)] =
     ts.map(t => (t.vals, t.tids, t.covered)).toSet
 
-  /** Random FD instance: up to `maxTables` tables over `m` attributes with
-    * overlapping attribute subsets, tiny value domains (to force joins)
-    * and missing nulls. Every tuple keeps ≥1 non-null value.
+  /** Random FD instance: up to `maxTuples` tuples in 2–4 tables over
+    * `attrs` attributes (2–4 when not given) with overlapping attribute
+    * subsets, tiny value domains (to force joins) and missing nulls. Every
+    * tuple keeps ≥1 non-null value.
     */
-  def randomInstance(seed: Long, maxTuples: Int = 10): Seq[LocalTuple] = {
+  def randomInstance(seed: Long, maxTuples: Int = 10,
+                     attrs: Option[Int] = None): Seq[LocalTuple] = {
     val rnd = new Random(seed)
-    val m = 2 + rnd.nextInt(3) // attributes
+    val m = attrs.getOrElse(2 + rnd.nextInt(3))
     val nTables = 2 + rnd.nextInt(3)
     val domain = Vector("a", "b", "c", "d")
     val tuples = Vector.newBuilder[LocalTuple]

@@ -7,8 +7,8 @@ import repro.SparkSpec
   */
 class FdPropertiesSpec extends SparkSpec {
 
-  private def check(seed: Long): Unit = {
-    val in = FdFixtures.randomInstance(seed)
+  private def check(seed: Long, attrs: Option[Int] = None): Unit = {
+    val in = FdFixtures.randomInstance(seed, attrs = attrs)
     if (in.nonEmpty) {
       val m = in.head.vals.size
       val expected = FdFixtures.canon(NaiveFD.bruteForce(in))
@@ -27,6 +27,21 @@ class FdPropertiesSpec extends SparkSpec {
   test("Spark FD equals reference on instances with many missing nulls") {
     // Seeds chosen so null probability shows up heavily in small domains.
     for (seed <- Seq(31337L, 4242L, 999L, 123456L)) check(seed)
+  }
+
+  test("Spark FD equals reference on wide schemas (8–16 attributes)") {
+    for (m <- 8 to 16) check(m * 7919L, attrs = Some(m))
+  }
+
+  test("Spark FD equals reference under 1 and 8 shuffle partitions") {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    try {
+      for (partitions <- Seq(1, 8)) {
+        spark.conf.set(key, partitions.toLong)
+        for (seed <- 1 to 6) check(seed * 1000 + 17)
+      }
+    } finally spark.conf.set(key, saved)
   }
 
   test("Spark FD is deterministic across runs") {
