@@ -2,8 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 
-/** Outer union of an integration set into integration-ID space.
+/** The aligned-tuple layout: its schema, the outer union of an integration
+  * set into integration-ID space, and the merge of two tuples.
   *
   * Every input tuple becomes a row of the universal schema:
   *
@@ -17,6 +19,10 @@ import org.apache.spark.sql.functions._
   *   - `tids`    sorted provenance tuple IDs. If the input has a `TID`
   *               column it is used verbatim (the paper's figures name
   *               tuples t1..t16); otherwise IDs are `<table>#<row>`.
+  *
+  * A tuple is identified by its `(vals, tids)` arrays themselves: Spark
+  * groups, deduplicates and equi-joins `array<string>` element-wise, with a
+  * null element equal to a null element.
   */
 object AlignedTuples {
 
@@ -25,15 +31,34 @@ object AlignedTuples {
   val TabsCol = "tabs"
   val TidsCol = "tids"
 
-  /** Stable string key of a `vals` array (arrays with null elements are
-    * not reliable join/group keys, so everything keys on this).
-    */
-  def valsKey(vals: Column): Column =
-    concat_ws("\u0001", transform(vals, v => coalesce(v, lit("\u0000"))))
+  val schema: StructType = StructType(Seq(
+    StructField(ValsCol, ArrayType(StringType), nullable = false),
+    StructField(CoveredCol, LongType, nullable = false),
+    StructField(TabsCol, ArrayType(StringType), nullable = false),
+    StructField(TidsCol, ArrayType(StringType), nullable = false),
+  ))
 
-  /** Stable string key identifying a tuple (values + provenance). */
-  def tupleKey(vals: Column, tids: Column): Column =
-    concat(valsKey(vals), lit("\u0002"), concat_ws(",", tids))
+  /** `df` with every column renamed to `p` + its name. */
+  def prefixed(df: DataFrame, p: String): DataFrame =
+    df.select(df.columns.map(c => col(c).as(p + c)): _*)
+
+  /** The aligned tuple merging the `a_` and `b_` tuples of a joined row:
+    * values coalesced attribute-wise, coverage ORed, tables and TIDs
+    * unioned and sorted. A side whose columns are all null, such as the
+    * unmatched side of an outer join, contributes nothing.
+    */
+  def merged: Seq[Column] = {
+    def union(a: Column, b: Column) = array_sort(array_union(a, b))
+    Seq[(String, (Column, Column) => Column)](
+      ValsCol -> ((a, b) => zip_with(a, b, coalesce(_, _))),
+      CoveredCol -> (_ bitwiseOR _),
+      TabsCol -> union,
+      TidsCol -> union,
+    ).map { case (c, f) =>
+      val (a, b) = (col("a_" + c), col("b_" + c))
+      coalesce(f(a, b), a, b).as(c)
+    }
+  }
 
   /** Build the outer union for one table. */
   def forTable(table: String, df: DataFrame, alignment: Alignment): DataFrame = {

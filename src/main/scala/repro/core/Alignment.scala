@@ -18,6 +18,9 @@ final case class ColumnKey(table: String, index: Int)
   *               frequent meaningful header in the cluster)
   */
 final case class Alignment(iidOf: Map[ColumnKey, Int], names: Vector[String]) {
+  require(names.size <= 64,
+    s"more than 64 integration IDs (${names.size}); FD coverage masks are Long bitmasks")
+
   def numIids: Int = names.length
 
   /** Integration IDs covered by `table`, as a bitmask (used for the
@@ -55,14 +58,14 @@ object SchemaMatcher {
   *   - instance evidence: Jaccard over a sample of distinct normalized
   *     values.
   *
-  * Edges with similarity ≥ `threshold` are processed in descending order
+  * Edges with similarity ≥ 0.25 are processed in descending order
   * by a union-find that refuses to place two columns of the same table in
   * one cluster — ALITE's hard constraint.
   */
-final class HolisticMatcher(
-    threshold: Double = 0.25,
-    sampleSize: Int = 1000,
-) extends SchemaMatcher {
+final class HolisticMatcher extends SchemaMatcher {
+
+  private val Threshold = 0.25
+  private val SampleSize = 1000
 
   private final case class Profile(key: ColumnKey, header: String,
                                    tokens: Set[String], values: Set[String],
@@ -76,7 +79,7 @@ final class HolisticMatcher(
           .select(col(df.columns(i)).cast("string").as("v"))
           .where(col("v").isNotNull)
           .distinct()
-          .limit(sampleSize)
+          .limit(SampleSize)
           .collect()
           .map(r => Norm.basic(r.getString(0)))
           .toSet
@@ -103,7 +106,7 @@ final class HolisticMatcher(
         val valueSim =
           if (p.numeric && q.numeric && rawValueSim < 0.7) 0.0 else rawValueSim
         val sim = math.max(nameSim, valueSim)
-        if (sim >= threshold) edges += Edge(i, j, sim)
+        if (sim >= Threshold) edges += Edge(i, j, sim)
       }
     }
     val ordered = edges.sortBy(e => (-e.sim, e.a, e.b))
@@ -137,8 +140,6 @@ final class HolisticMatcher(
       else headers.groupBy(identity).toSeq
         .maxBy { case (h, hs) => (hs.size, -headers.indexOf(h)) }._1
     }
-    require(names.size <= 64,
-      s"more than 64 integration IDs (${names.size}); FD coverage masks are Long bitmasks")
     Alignment(iidOf, dedupeNames(names))
   }
 

@@ -8,8 +8,9 @@ import AlignedTuples._
 /** ALITE's integration result: tuples in integration-ID space plus the
   * alignment that produced them.
   *
-  * `tuples` columns: `vals` (array<string>), `covered` (Long bitmask of
-  * attributes some contributing table had a column for), `tabs`, `tids`.
+  * `tuples` has the `AlignedTuples` layout: `vals` (array<string>),
+  * `covered` (Long bitmask of attributes some contributing table had a
+  * column for), `tabs`, `tids`, in that order.
   */
 final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
 
@@ -52,8 +53,9 @@ final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
   * `(index, value)` key and equi-joins on it, so a pair of tuples meets
   * once per attribute they share. Each round joins the frontier (tuples
   * discovered last round) against all tuples this way, keeps consistent
-  * table-disjoint pairs, and coalesces them into combined tuples; fixpoint
-  * when a round yields nothing new. A combined tuple spans strictly more
+  * table-disjoint pairs, and merges each into one tuple
+  * (`AlignedTuples.merged`); fixpoint when a round yields no new
+  * `(vals, tids)` tuple. A combined tuple spans strictly more
   * source tables than the frontier tuple it extends, so the closure ends
   * after at most as many rounds as there are tables. Lineage is cut every
   * round with `localCheckpoint` (iterative algorithm). Finally,
@@ -81,27 +83,18 @@ object FullDisjunction extends Integrator {
     finish(closure(t0))
   }
 
-  /** The coalesced consistent, connected, table-disjoint pairs of `a` × `b`
+  /** The merged consistent, connected, table-disjoint pairs of `a` × `b`
     * in the aligned-tuple layout, one row per attribute the pair shares.
     */
   private[core] def complement(a: DataFrame, b: DataFrame): DataFrame =
-    combineRound(a, b).select(
-      zip_with(col("a_" + ValsCol), col("b_" + ValsCol), (x, y) => coalesce(x, y)).as(ValsCol),
-      col("a_" + CoveredCol).bitwiseOR(col("b_" + CoveredCol)).as(CoveredCol),
-      array_sort(array_union(col("a_" + TabsCol), col("b_" + TabsCol))).as(TabsCol),
-      array_sort(array_union(col("a_" + TidsCol), col("b_" + TidsCol))).as(TidsCol),
-    )
+    combineRound(a, b).select(merged: _*)
 
-  /** Merge value duplicates, drop dominated rows, project to the output
-    * layout.
+  /** Merge value duplicates and drop dominated rows; the columns keep the
+    * layout's order.
     */
-  private[core] def finish(rows: DataFrame): DataFrame =
-    subsume(dedupValues(rows)).select(ValsCol, CoveredCol, TabsCol, TidsCol)
+  private[core] def finish(rows: DataFrame): DataFrame = subsume(dedupValues(rows))
 
   // ------------------------------------------------------------- the kernel
-
-  private def prefixed(df: DataFrame, p: String): DataFrame =
-    df.select(df.columns.map(c => col(c).as(p + c)): _*)
 
   /** One row per non-null attribute of each row of `df`, columns prefixed
     * with `p`, plus the `(p idx, p val)` key of that attribute.
@@ -124,13 +117,12 @@ object FullDisjunction extends Integrator {
 
   // ---------------------------------------------------------------- closure
 
-  private def withKey(df: DataFrame): DataFrame =
-    df.withColumn("key", tupleKey(col(ValsCol), col(TidsCol)))
+  private val tupleId = Seq(ValsCol, TidsCol)
 
   private def closure(t0: DataFrame): DataFrame = {
     // `all` is the lazy union of per-round checkpointed frontiers — only the
     // fresh tuples of a round are ever materialized.
-    val base = withKey(t0).dropDuplicates("key").localCheckpoint()
+    val base = t0.dropDuplicates(tupleId).localCheckpoint()
     var generations = Vector(base)
     def all = generations.reduce(_ unionByName _)
     var frontier = base
@@ -139,8 +131,8 @@ object FullDisjunction extends Integrator {
     // reaches the number of source tables.
     var grew = !base.isEmpty
     while (grew) {
-      frontier = withKey(complement(frontier, all)).dropDuplicates("key")
-        .join(all.select(col("key")), Seq("key"), "left_anti")
+      frontier = complement(frontier, all).dropDuplicates(tupleId)
+        .join(all.select(tupleId.map(col): _*), tupleId, "left_anti")
         .localCheckpoint()
       grew = !frontier.isEmpty
       if (grew) generations :+= frontier
@@ -170,9 +162,8 @@ object FullDisjunction extends Integrator {
 
   private def dedupValues(rows: DataFrame): DataFrame =
     rows
-      .groupBy(valsKey(col(ValsCol)).as("vkey"))
+      .groupBy(col(ValsCol))
       .agg(
-        first(ValsCol).as(ValsCol),
         expr(s"bit_or($CoveredCol)").as(CoveredCol),
         array_sort(array_distinct(flatten(collect_list(TabsCol)))).as(TabsCol),
         mergeMaximalTidSets(collect_list(TidsCol)).as(TidsCol),
@@ -184,11 +175,10 @@ object FullDisjunction extends Integrator {
     */
   private def subsume(dedup: DataFrame): DataFrame = {
     def nonNull(vals: Column): Column = size(filter(vals, _.isNotNull))
-    val dominatedKeys = sharing(dedup, dedup)
+    val dominated = sharing(dedup, dedup)
       .where(nonNull(col("b_" + ValsCol)) > nonNull(col("a_" + ValsCol)) &&
         everyAttr((t, u) => t.isNull || t === u))
-      .select(col("a_vkey").as("vkey"))
-      .distinct()
-    dedup.join(dominatedKeys, Seq("vkey"), "left_anti")
+      .select(col("a_" + ValsCol).as(ValsCol))
+    dedup.join(dominated, Seq(ValsCol), "left_anti")
   }
 }

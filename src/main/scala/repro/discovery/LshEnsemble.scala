@@ -8,28 +8,26 @@ import repro.lake.DataLake
 /** LSH-Ensemble-style joinable table search [15].
   *
   * Offline, every lake column gets a MinHash signature and a distinct
-  * count; candidates are partitioned by domain size (the "ensemble").
-  * A query column's containment in a candidate is estimated from the
-  * Jaccard estimate ĵ via the standard conversion
+  * count; candidates are split into 4 partitions by domain size (the
+  * "ensemble"). A query column's containment in a candidate is estimated
+  * from the Jaccard estimate ĵ via the standard conversion
   * ĉ = ĵ·(|Q|+|X|) / ((1+ĵ)·|Q|); partitions whose maximum achievable
-  * containment (maxSize/|Q|) is below the threshold are pruned before
+  * containment (maxSize/|Q|) is below the threshold 0.3 are pruned before
   * scoring. The banding index of the original is elided — the lake has
   * O(100) columns, so an exhaustive scan of pruned partitions is exact
   * and cheap.
   */
-final class LshEnsemble(
-    spark: SparkSession,
-    lake: DataLake,
-    threshold: Double = 0.3,
-    numPartitions: Int = 4,
-) extends Discoverer {
+final class LshEnsemble(spark: SparkSession, lake: DataLake) extends Discoverer {
+
+  private val Threshold = 0.3
+  private val NumPartitions = 4
 
   override def name: String = "lsh-ensemble"
 
   /** Offline index: (table, colIdx, colName, size, sig, part). */
   lazy val index: DataFrame = {
     val sigs = MinHash.index(spark, lake.tables)
-    sigs.withColumn("part", ntile(numPartitions).over(
+    sigs.withColumn("part", ntile(NumPartitions).over(
       org.apache.spark.sql.expressions.Window.orderBy(col("size"))))
       .cache()
   }
@@ -50,7 +48,7 @@ final class LshEnsemble(
     val qSig = qsigRow.getSeq[Long](qsigRow.fieldIndex("sig")).toVector
 
     val keepParts = partMax.collect {
-      case (p, mx) if mx.toDouble / qSize.toDouble >= threshold => p
+      case (p, mx) if mx.toDouble / qSize.toDouble >= Threshold => p
     }.toSeq
     if (keepParts.isEmpty) return Seq.empty
 
@@ -65,7 +63,7 @@ final class LshEnsemble(
       .where(col("part").isin(keepParts: _*))
       .select(col("table"), containment.as("c"))
       .groupBy("table").agg(max("c").as("score"))
-      .where(col("score") >= threshold)
+      .where(col("score") >= Threshold)
       .collect()
       .map(r => ScoredTable(r.getString(0), r.getDouble(1)))
       .sortBy(st => (-st.score, st.table))

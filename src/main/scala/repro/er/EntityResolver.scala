@@ -1,7 +1,6 @@
 package repro.er
 
 import org.apache.spark.sql.Row
-import org.apache.spark.sql.types._
 
 import scala.collection.mutable
 
@@ -83,14 +82,8 @@ object EntityResolver {
       else mergeCluster(ms, m, dict)
     }.sortBy(_.vals.map(v => if (v == null) "" else v).mkString(""))
 
-    val schema = StructType(Seq(
-      StructField(AlignedTuples.ValsCol, ArrayType(StringType), nullable = false),
-      StructField(AlignedTuples.CoveredCol, LongType, nullable = false),
-      StructField(AlignedTuples.TabsCol, ArrayType(StringType), nullable = false),
-      StructField(AlignedTuples.TidsCol, ArrayType(StringType), nullable = false),
-    ))
     val rows = merged.map(r => Row(r.vals, r.covered, r.tabs, r.tids))
-    val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), schema)
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), AlignedTuples.schema)
     IntegratedTable(it.alignment, df)
   }
 

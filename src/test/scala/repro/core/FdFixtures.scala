@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types._
 
 import scala.util.Random
 
@@ -11,18 +10,11 @@ import scala.util.Random
   */
 object FdFixtures {
 
-  val schema: StructType = StructType(Seq(
-    StructField(AlignedTuples.ValsCol, ArrayType(StringType), nullable = false),
-    StructField(AlignedTuples.CoveredCol, LongType, nullable = false),
-    StructField(AlignedTuples.TabsCol, ArrayType(StringType), nullable = false),
-    StructField(AlignedTuples.TidsCol, ArrayType(StringType), nullable = false),
-  ))
-
   def toDf(spark: SparkSession, tuples: Seq[LocalTuple]): DataFrame = {
     val rows = tuples.map { t =>
       Row(t.vals.map(_.orNull), t.covered, t.tabs.toSeq.sorted, t.tids.toSeq.sorted)
     }
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), AlignedTuples.schema)
   }
 
   def fromDf(df: DataFrame): Set[LocalTuple] =

@@ -74,6 +74,19 @@ class FullDisjunctionSpec extends SparkSpec {
     assert(got == expected)
   }
 
+  test("tuples whose values contain control characters stay distinct") {
+    // Joined by "\u0001" with null written as "\u0000", both value arrays
+    // would read the same string: a string key would merge the two tuples.
+    val in = Seq(
+      LocalTuple(Vector(Some("a\u0001b"), None, None), 0x7, Set("T0"), Set("x0")),
+      LocalTuple(Vector(Some("a"), Some("b\u0001\u0000"), None), 0x7, Set("T1"), Set("x1")),
+    )
+    val out = FdFixtures.fromDf(
+      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), 3))
+    assert(out.size == 2)
+    assert(FdFixtures.canon(out) == FdFixtures.canon(NaiveFD.bruteForce(in)))
+  }
+
   test("empty-intersection tables: FD degrades to the outer union") {
     val a = FdFixtures.toDf(spark, Seq(
       LocalTuple(Vector(Some("x"), None), 1L, Set("A"), Set("a1")),

@@ -79,4 +79,9 @@ class HolisticMatcherSpec extends SparkSpec {
     val a2 = matcher.align(PaperTables.fig2(spark))
     assert(a1 == a2)
   }
+
+  test("an alignment with more than 64 integration IDs is refused") {
+    val e = intercept[IllegalArgumentException](Alignment(Map.empty, Vector.fill(65)("c")))
+    assert(e.getMessage.contains("more than 64 integration IDs (65)"))
+  }
 }
