@@ -60,6 +60,25 @@ object AlignedTuples {
     }
   }
 
+  /** The one rule for reading a raw table cell: its trimmed string, with
+    * `""` as a missing null (open data CSVs write missing values as blanks).
+    */
+  def cell(c: Column): Column = nullif(trim(c.cast("string")), lit(""))
+
+  /** One `(table, colIdx, colName, value)` row per distinct cell value of `df`. */
+  def melt(table: String, df: DataFrame): DataFrame = {
+    val names = df.columns
+    df.select(posexplode(array(names.map(c => cell(col(c))): _*)).as(Seq("colIdx", "value")))
+      .where(col("value").isNotNull)
+      .distinct()
+      .select(
+        lit(table).as("table"),
+        col("colIdx"),
+        element_at(array(names.map(lit(_)): _*), col("colIdx") + 1).as("colName"),
+        col("value"),
+      )
+  }
+
   /** Build the outer union for one table. */
   def forTable(table: String, df: DataFrame, alignment: Alignment): DataFrame = {
     val cols = df.columns
@@ -72,14 +91,7 @@ object AlignedTuples {
       case (ColumnKey(t, idx), iid) if t == table => iid -> cols(idx)
     }
     val vals = array((0 until alignment.numIids).map { iid =>
-      byIid.get(iid) match {
-        case Some(c) =>
-          // Trim and null-out empty strings: open data CSVs encode missing
-          // values as "" and the FD must treat them as missing nulls.
-        val v = trim(col(c).cast("string"))
-          when(v.isNull || v === "", lit(null: String)).otherwise(v)
-        case None => lit(null: String).cast("string")
-      }
+      byIid.get(iid).fold(lit(null: String).cast("string"))(c => cell(col(c)))
     }: _*)
     df.select(
       vals.as(ValsCol),

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.util.Norm
 
@@ -55,8 +56,11 @@ object SchemaMatcher {
   *
   *   - header evidence: Jaccard over header tokens (dummy headers like
   *     `col3` contribute nothing);
-  *   - instance evidence: Jaccard over a sample of distinct normalized
-  *     values.
+  *   - instance evidence: Jaccard over a bottom-k sample of each column's
+  *     normalized values: its `SampleSize` values with the smallest
+  *     `xxhash64`, so equal value sets get equal samples whatever the
+  *     partitioning. One query over the union of `AlignedTuples.melt` of
+  *     all tables samples every column.
   *
   * Edges with similarity ≥ 0.25 are processed in descending order
   * by a union-find that refuses to place two columns of the same table in
@@ -72,69 +76,40 @@ final class HolisticMatcher extends SchemaMatcher {
                                    numeric: Boolean)
 
   override def align(tables: Seq[(String, DataFrame)]): Alignment = {
-    val profiles: Vector[Profile] = tables.toVector.flatMap { case (name, df) =>
-      val dataCols = df.columns.zipWithIndex.filterNot { case (c, _) => SchemaMatcher.isTid(c) }
-      dataCols.map { case (c, i) =>
-        val vals = df
-          .select(col(df.columns(i)).cast("string").as("v"))
-          .where(col("v").isNotNull)
-          .distinct()
-          .limit(SampleSize)
-          .collect()
-          .map(r => Norm.basic(r.getString(0)))
-          .toSet
-        val numeric = vals.nonEmpty &&
-          vals.count(_.matches("-?\\d+(\\.\\d+)?")) >= vals.size * 0.8
-        Profile(ColumnKey(name, i), c, Norm.headerTokens(c), vals, numeric)
-      }
-    }
+    val samples = valueSamples(tables)
+    val profiles = for {
+      (name, df) <- tables.toVector
+      (c, i) <- df.columns.toVector.zipWithIndex if !SchemaMatcher.isTid(c)
+      vals = samples.getOrElse(ColumnKey(name, i), Set.empty[String])
+      numeric = vals.nonEmpty && vals.count(_.matches("-?\\d+(\\.\\d+)?")) >= vals.size * 0.8
+    } yield Profile(ColumnKey(name, i), c, Norm.headerTokens(c), vals, numeric)
 
-    // Candidate edges, strongest first; exact meaningful-header equality is
-    // treated as maximal evidence (the common case in curated figures).
-    final case class Edge(a: Int, b: Int, sim: Double)
-    val edges = mutable.ArrayBuffer.empty[Edge]
-    for (i <- profiles.indices; j <- (i + 1) until profiles.size) {
-      val (p, q) = (profiles(i), profiles(j))
-      if (p.key.table != q.key.table) {
-        val nameSim =
-          if (p.tokens.nonEmpty && p.tokens == q.tokens) 1.0
-          else Norm.jaccard(p.tokens, q.tokens)
-        // Two plain-integer/decimal columns (keys, measures) overlap by
-        // accident all the time in open data; demand near-identical domains
-        // before instance evidence alone may merge them.
-        val rawValueSim = Norm.jaccard(p.values, q.values)
-        val valueSim =
-          if (p.numeric && q.numeric && rawValueSim < 0.7) 0.0 else rawValueSim
-        val sim = math.max(nameSim, valueSim)
-        if (sim >= Threshold) edges += Edge(i, j, sim)
-      }
-    }
-    val ordered = edges.sortBy(e => (-e.sim, e.a, e.b))
+    // Candidate edges between columns of different tables.
+    val edges = for {
+      i <- profiles.indices; j <- (i + 1) until profiles.size
+      (p, q) = (profiles(i), profiles(j)) if p.key.table != q.key.table
+      sim = similarity(p, q) if sim >= Threshold
+    } yield (i, j, sim)
 
-    // Union-find with the one-column-per-table-per-cluster constraint.
+    // Union-find over the edges, strongest first, with the
+    // one-column-per-table-per-cluster constraint.
     val parent = Array.tabulate(profiles.size)(identity)
     def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); parent(x) = r; r }
-    val tablesIn = mutable.Map.empty[Int, mutable.Set[String]] ++
-      profiles.indices.map(i => i -> mutable.Set(profiles(i).key.table))
-    for (e <- ordered) {
-      val (ra, rb) = (find(e.a), find(e.b))
+    val tablesIn = profiles.map(p => Set(p.key.table)).toArray
+    for ((a, b, _) <- edges.sortBy { case (a, b, sim) => (-sim, a, b) }) {
+      val (ra, rb) = (find(a), find(b))
       if (ra != rb && tablesIn(ra).intersect(tablesIn(rb)).isEmpty) {
         parent(rb) = ra
         tablesIn(ra) ++= tablesIn(rb)
-        tablesIn.remove(rb)
       }
     }
 
     // Dense integration IDs, deterministic order (first column occurrence).
-    val rootOrder = profiles.indices.map(find).distinct
-    val iidOfRoot = rootOrder.zipWithIndex.toMap
-    val iidOf = profiles.indices.map { i =>
-      profiles(i).key -> iidOfRoot(find(i))
-    }.toMap
+    val iidOfRoot = profiles.indices.map(find).distinct.zipWithIndex.toMap
+    val iidOf = profiles.indices.map(i => profiles(i).key -> iidOfRoot(find(i))).toMap
 
-    val names = Vector.tabulate(rootOrder.size) { iid =>
-      val members = profiles.indices.filter(i => iidOfRoot(find(i)) == iid)
-      val headers = members.map(profiles(_).header)
+    val names = Vector.tabulate(iidOfRoot.size) { iid =>
+      val headers = profiles.filter(p => iidOf(p.key) == iid).map(_.header)
         .filter(h => Norm.headerTokens(h).nonEmpty)
       if (headers.isEmpty) s"iid_$iid"
       else headers.groupBy(identity).toSeq
@@ -142,6 +117,38 @@ final class HolisticMatcher extends SchemaMatcher {
     }
     Alignment(iidOf, dedupeNames(names))
   }
+
+  /** The stronger of header and instance evidence; exact meaningful-header
+    * equality is maximal evidence (the common case in curated figures).
+    */
+  private def similarity(p: Profile, q: Profile): Double = {
+    val nameSim =
+      if (p.tokens.nonEmpty && p.tokens == q.tokens) 1.0
+      else Norm.jaccard(p.tokens, q.tokens)
+    // Two plain-integer/decimal columns (keys, measures) overlap by
+    // accident all the time in open data; demand near-identical domains
+    // before instance evidence alone may merge them.
+    val valueSim = Norm.jaccard(p.values, q.values)
+    math.max(nameSim, if (p.numeric && q.numeric && valueSim < 0.7) 0.0 else valueSim)
+  }
+
+  /** Each data column's bottom-`SampleSize` normalized values, in one action. */
+  private def valueSamples(tables: Seq[(String, DataFrame)]): Map[ColumnKey, Set[String]] =
+    if (tables.isEmpty) Map.empty
+    else {
+      val byHash = Window.partitionBy("table", "colIdx")
+        .orderBy(xxhash64(col("value")), col("value"))
+      tables.map { case (name, df) =>
+        val tids = df.columns.indices.filter(i => SchemaMatcher.isTid(df.columns(i)))
+        AlignedTuples.melt(name, df).where(!col("colIdx").isin(tids: _*))
+      }
+        .reduce(_ unionAll _)
+        .withColumn("rank", row_number().over(byHash))
+        .where(col("rank") <= SampleSize)
+        .collect()
+        .groupMap(r => ColumnKey(r.getString(0), r.getInt(1)))(r => Norm.basic(r.getString(3)))
+        .view.mapValues(_.toSet).toMap
+    }
 
   /** Display names must be unique to become DataFrame column names. */
   private def dedupeNames(names: Vector[String]): Vector[String] = {

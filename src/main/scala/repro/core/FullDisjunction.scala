@@ -59,7 +59,7 @@ final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
   * source tables than the frontier tuple it extends, so the closure ends
   * after at most as many rounds as there are tables. Lineage is cut every
   * round with `localCheckpoint` (iterative algorithm). Finally,
-  * value-duplicate rows are merged (keeping maximal TID-sets) and
+  * value-duplicate rows are merged (unioning their TID-sets) and
   * dominated rows are removed by a self-join through the same kernel.
   */
 object FullDisjunction extends Integrator {
@@ -75,8 +75,8 @@ object FullDisjunction extends Integrator {
     IntegratedTable(alignment, integrateAligned(t0, alignment.numIids))
   }
 
-  /** FD over an already-aligned outer union (`AlignedTuples.build` shape).
-    * Exposed separately so baselines (ParaFD) can share representation.
+  /** FD over an already-aligned outer union (`AlignedTuples.build` shape),
+    * for callers that align once and integrate the tuples themselves.
     */
   def integrateAligned(t0: DataFrame, m: Int): DataFrame = {
     require(m >= 1, "no aligned attributes")
@@ -150,24 +150,14 @@ object FullDisjunction extends Integrator {
 
   // ------------------------------------------------- dedup and subsumption
 
-  /** Keep the union of ⊆-maximal TID-sets among value-identical tuples:
-    * the closure materializes every connected consistent subset, but FD is
-    * defined over maximal sets only.
+  /** Merge value-identical tuples. Each TID-set lies inside a ⊆-maximal
+    * one, so the union of all is the union of the maximal sets FD keeps.
     */
-  private val mergeMaximalTidSets = udf { (tidsets: Seq[Seq[String]]) =>
-    val sets = tidsets.map(_.toSet).distinct
-    val maximal = sets.filter(s => !sets.exists(t => t != s && s.subsetOf(t)))
-    maximal.flatten.distinct.sorted
+  private def dedupValues(rows: DataFrame): DataFrame = {
+    def union(c: String) = array_sort(array_distinct(flatten(collect_list(c)))).as(c)
+    rows.groupBy(col(ValsCol))
+      .agg(expr(s"bit_or($CoveredCol)").as(CoveredCol), union(TabsCol), union(TidsCol))
   }
-
-  private def dedupValues(rows: DataFrame): DataFrame =
-    rows
-      .groupBy(col(ValsCol))
-      .agg(
-        expr(s"bit_or($CoveredCol)").as(CoveredCol),
-        array_sort(array_distinct(flatten(collect_list(TabsCol)))).as(TabsCol),
-        mergeMaximalTidSets(collect_list(TidsCol)).as(TidsCol),
-      )
 
   /** Remove value-dominated tuples. `u` dominates `t` when `u` agrees with
     * every non-null value of `t` and has strictly more non-null values, so

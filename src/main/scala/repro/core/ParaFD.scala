@@ -27,7 +27,7 @@ object ParaFD extends Integrator {
   }
 
   /** FD of exactly two aligned tuple sets. */
-  private def binaryFd(a: DataFrame, b: DataFrame): DataFrame =
+  private[core] def binaryFd(a: DataFrame, b: DataFrame): DataFrame =
     FullDisjunction
       .finish(a.unionByName(FullDisjunction.complement(a, b)).unionByName(b))
       .localCheckpoint()

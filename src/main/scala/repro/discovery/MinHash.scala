@@ -3,31 +3,20 @@ package repro.discovery
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
+import repro.core.AlignedTuples
+
 /** MinHash signatures of table columns, computed with Spark aggregations.
   *
   * A column's signature is `min(xxhash64(value ⊕ i))` for i < numPerms over
-  * its distinct non-null values. Query signatures are computed through the
+  * its distinct cell values, the rows of `AlignedTuples.melt` — the same
+  * rows `HolisticMatcher` takes its bottom-k value samples from, in one
+  * query over all tables. Query signatures are computed through the
   * same code path, so the estimator never depends on reimplementing
   * Spark's hash on the driver.
   */
 object MinHash {
 
   val NumPerms = 64
-
-  /** (table, colIdx, colName, value) rows for every distinct value. */
-  def melt(table: String, df: DataFrame): DataFrame = {
-    val names = df.columns
-    val arr = array(names.map(c => trim(col(c).cast("string"))): _*)
-    df.select(posexplode(arr).as(Seq("colIdx", "value")))
-      .where(col("value").isNotNull && col("value") =!= "")
-      .distinct()
-      .select(
-        lit(table).as("table"),
-        col("colIdx"),
-        element_at(array(names.map(lit(_)): _*), col("colIdx") + 1).as("colName"),
-        col("value"),
-      )
-  }
 
   /** Signature per (table, colIdx): distinct count + minhash array. */
   def signatures(melted: DataFrame): DataFrame = {
@@ -45,7 +34,7 @@ object MinHash {
 
   /** Signatures for every column of every table in `tables`. */
   def index(spark: SparkSession, tables: Seq[(String, DataFrame)]): DataFrame =
-    tables.map { case (n, df) => melt(n, df) }
+    tables.map { case (n, df) => AlignedTuples.melt(n, df) }
       .reduce(_ unionAll _)
       .transform(signatures)
 }

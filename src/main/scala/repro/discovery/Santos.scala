@@ -1,7 +1,9 @@
 package repro.discovery
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 
+import repro.core.AlignedTuples
 import repro.lake.DataLake
 import repro.util.Norm
 
@@ -12,7 +14,8 @@ import repro.util.Norm
   * Offline we substitute YAGO with the lake generator's value→type
   * dictionary (`repro.lake.KnowledgeBase`) — the same mechanism, synthetic
   * facts. A column's semantic type is the majority type of the values in
-  * a 500-row sample, if ≥ 40% of them are typed; numbers and
+  * a 500-row sample, if ≥ 40% of them are typed (blank cells are missing,
+  * per `AlignedTuples.cell`, and do not count); numbers and
   * percentages get syntactic types.
   *
   * Score of a candidate = 2·|shared relationship types| + |shared column
@@ -38,11 +41,10 @@ final class Santos(lake: DataLake, kb: Map[String, String]) extends Discoverer {
 
   /** Majority semantic type of each column (None = untyped). */
   private[discovery] def columnTypes(df: DataFrame): Vector[Option[String]] = {
-    import org.apache.spark.sql.functions._
-    val names = df.columns
-    val sample = df.limit(SampleSize).collect()
-    names.indices.map { i =>
-      val vals = sample.flatMap(r => Option(r.get(i)).map(_.toString)).filter(_.nonEmpty)
+    val sample = df.select(df.columns.map(c => AlignedTuples.cell(col(c))): _*)
+      .limit(SampleSize).collect()
+    df.columns.indices.map { i =>
+      val vals = sample.flatMap(r => Option(r.getString(i)))
       if (vals.isEmpty) None
       else {
         val typed = vals.flatMap(typeOfValue)

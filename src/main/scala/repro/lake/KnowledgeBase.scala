@@ -117,8 +117,4 @@ object KnowledgeBase {
     for (a <- agencies) b += Norm.basic(a) -> "agency"
     b.result()
   }
-
-  /** Semantic type of a single value, if the KB knows it. */
-  def typeOf(value: String): Option[String] =
-    Option(value).flatMap(v => valueType.get(Norm.basic(v)))
 }

@@ -41,6 +41,31 @@ class HolisticMatcherSpec extends SparkSpec {
     assert(al.iidOf(ColumnKey("A", 1)) != al.iidOf(ColumnKey("B", 1)))
   }
 
+  test("blank cells are missing values, not shared evidence") {
+    import spark.implicits._
+    val a = Seq("", "x").toDF("col0")
+    val b = Seq("  ", "y").toDF("col0")
+    assert(matcher.align(Seq("A" -> a, "B" -> b)).numIids == 2)
+  }
+
+  test("columns with more than 1000 distinct values align the same under 1 and 8 shuffle partitions") {
+    import spark.implicits._
+    val n = 3000
+    val a = (0 until n).map(i => (s"v$i", s"w$i")).toDF("col0", "col1")
+    val b = (0 until n).reverse.map(i => s"v$i").toDF("col0").repartition(3)
+    val c = (n / 2 until n + n / 2).map(i => s"v$i").toDF("col0")
+    val tables = Seq("A" -> a, "B" -> b, "C" -> c)
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val aligned =
+      try Seq(1, 8).map { partitions =>
+        spark.conf.set(key, partitions.toLong)
+        matcher.align(tables)
+      } finally spark.conf.set(key, saved)
+    assert(aligned(0) == aligned(1))
+    assert(aligned(0).iidOf(ColumnKey("A", 0)) == aligned(0).iidOf(ColumnKey("B", 0)))
+  }
+
   test("two columns of the same table never share an integration ID") {
     import spark.implicits._
     // Both columns of A overlap with B's single column; the constraint must

@@ -8,6 +8,13 @@ import repro.demo.PaperTables
   */
 class ParaFDSpec extends SparkSpec {
 
+  /** One binary FD step over the `T0` and `T1` tuples of `in`. */
+  private def binaryFd(in: Seq[LocalTuple]) = {
+    val (t0, t1) = in.partition(_.tabs.head == "T0")
+    FdFixtures.canon(FdFixtures.fromDf(
+      ParaFD.binaryFd(FdFixtures.toDf(spark, t0), FdFixtures.toDf(spark, t1))))
+  }
+
   test("equals ALITE FD on a γ-acyclic chain") {
     val in = Seq(
       LocalTuple(Vector(Some("1"), Some("a"), None), 0x3, Set("T0"), Set("x0")),
@@ -15,12 +22,7 @@ class ParaFDSpec extends SparkSpec {
       LocalTuple(Vector(None, Some("a"), Some("p")), 0x6, Set("T1"), Set("y0")),
       LocalTuple(Vector(None, Some("c"), Some("q")), 0x6, Set("T1"), Set("y1")),
     )
-    // Fold by hand through the public integrate() on real tables instead:
-    // build two one-table DataFrames via fixtures and compare canon sets.
-    val alite = FdFixtures.canon(FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), 3)))
-    val local = FdFixtures.canon(NaiveFD.bruteForce(in))
-    assert(alite == local)
+    assert(binaryFd(in) == FdFixtures.canon(NaiveFD.bruteForce(in)))
   }
 
   test("equals ALITE FD on TPC-H-style key–FK fragments") {
@@ -52,17 +54,8 @@ class ParaFDSpec extends SparkSpec {
     for (seed <- 1 to 10) {
       val in = FdFixtures.randomInstance(seed * 31 + 5).filter(t =>
         t.tabs.head == "T0" || t.tabs.head == "T1")
-      if (in.nonEmpty && in.exists(_.tabs.head == "T1")) {
-        val m = in.head.vals.size
-        val t0 = FdFixtures.toDf(spark, in.filter(_.tabs.head == "T0"))
-        val t1 = FdFixtures.toDf(spark, in.filter(_.tabs.head == "T1"))
-        if (!in.filter(_.tabs.head == "T0").isEmpty) {
-          val expected = FdFixtures.canon(NaiveFD.bruteForce(in))
-          val pf = FullDisjunction.integrateAligned(
-            FdFixtures.toDf(spark, in), m) // ALITE on 2 tables == binary FD
-          assert(FdFixtures.canon(FdFixtures.fromDf(pf)) == expected, s"seed=$seed")
-        }
-      }
+      if (in.exists(_.tabs.head == "T0") && in.exists(_.tabs.head == "T1"))
+        assert(binaryFd(in) == FdFixtures.canon(NaiveFD.bruteForce(in)), s"seed=$seed")
     }
   }
 }

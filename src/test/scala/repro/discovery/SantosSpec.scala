@@ -44,6 +44,12 @@ class SantosSpec extends SparkSpec {
     assert(types(1).contains("agency"))
   }
 
+  test("blank cells do not count against a column's type") {
+    import spark.implicits._
+    val df = Seq("Berlin", "Boston", "  ", "  ", "  ", "  ").toDF("c")
+    assert(santos.columnTypes(df) == Vector(Some("city")))
+  }
+
   test("scores are deterministic") {
     val query = gen.lake.table("cases_p1")
     val h1 = santos.discover(query, None, 10)
